@@ -116,7 +116,7 @@ let micro_tests () =
     in
     Test.make ~name:"parse + check fig6 source"
       (Staged.stage (fun () ->
-           ignore (Bw_ir.Parser.parse_program_exn src)))
+           ignore (Bw_lang.Parse.parse_program_exn src)))
   in
   (* The tiered-evaluator pair: the same registry workload priced by the
      exact tier (replay of a pre-captured stream — the engine run is
@@ -336,7 +336,7 @@ let () =
           outcomes
       in
       let oc = open_out json_path in
-      output_string oc (Bw_core.Bench_json.to_string doc);
+      output_string oc (Bw_core.Json.to_string doc);
       output_char oc '\n';
       close_out oc;
       Format.printf "wrote %s (%d tables, %d micro estimates, %d spans)@."

@@ -35,10 +35,10 @@ let source =
 let () =
   (* 1. parse + check *)
   let program =
-    match Bw_ir.Parser.parse_program source with
+    match Bw_lang.Parse.parse_program source with
     | Ok p -> p
     | Error e ->
-      Format.eprintf "%a@." Bw_ir.Parser.pp_parse_error e;
+      Format.eprintf "%s@." (Bw_lang.Parse.error_to_string e);
       exit 1
   in
   Format.printf "parsed '%s': %d declarations, %d statements@.@."

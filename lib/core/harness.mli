@@ -64,9 +64,9 @@ val declare_fault_sites : unit -> unit
     produced them. *)
 val json_of_results :
   ?trace:Bw_obs.Trace.span list ->
-  ?serve:Bench_json.t ->
+  ?serve:Json.t ->
   scale:int ->
   jobs:int ->
   micro:(string * float) list ->
   outcome list ->
-  Bench_json.t
+  Json.t

@@ -2,8 +2,7 @@
 
     Grown out of the benchmark harness's machine-readable output and now
     shared by every JSON producer/consumer in the repository: the bench
-    harness ([Bw_core.Bench_json] re-exports this module), the Chrome
-    trace export, and the [bwc serve] wire protocol
+    harness, the Chrome trace export, and the [bwc serve] wire protocol
     ({!Bw_serve.Protocol}).
 
     Deliberately tiny: objects, arrays, strings, numbers, booleans and

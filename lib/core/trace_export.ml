@@ -1,57 +1,57 @@
-let json_of_value : Bw_obs.Trace.value -> Bench_json.t = function
-  | Bw_obs.Trace.Int n -> Bench_json.Int n
-  | Bw_obs.Trace.Float f -> Bench_json.Float f
-  | Bw_obs.Trace.Str s -> Bench_json.String s
-  | Bw_obs.Trace.Bool b -> Bench_json.Bool b
+let json_of_value : Bw_obs.Trace.value -> Json.t = function
+  | Bw_obs.Trace.Int n -> Json.Int n
+  | Bw_obs.Trace.Float f -> Json.Float f
+  | Bw_obs.Trace.Str s -> Json.String s
+  | Bw_obs.Trace.Bool b -> Json.Bool b
 
 let json_of_span ~pid (s : Bw_obs.Trace.span) =
-  Bench_json.Obj
-    [ ("name", Bench_json.String s.Bw_obs.Trace.name);
-      ("cat", Bench_json.String
+  Json.Obj
+    [ ("name", Json.String s.Bw_obs.Trace.name);
+      ("cat", Json.String
           (if s.Bw_obs.Trace.cat = "" then "span" else s.Bw_obs.Trace.cat));
-      ("ph", Bench_json.String "X");
-      ("ts", Bench_json.Float s.Bw_obs.Trace.start_us);
-      ("dur", Bench_json.Float s.Bw_obs.Trace.dur_us);
-      ("pid", Bench_json.Int pid);
-      ("tid", Bench_json.Int s.Bw_obs.Trace.tid);
+      ("ph", Json.String "X");
+      ("ts", Json.Float s.Bw_obs.Trace.start_us);
+      ("dur", Json.Float s.Bw_obs.Trace.dur_us);
+      ("pid", Json.Int pid);
+      ("tid", Json.Int s.Bw_obs.Trace.tid);
       ( "args",
-        Bench_json.Obj
-          (("depth", Bench_json.Int s.Bw_obs.Trace.depth)
+        Json.Obj
+          (("depth", Json.Int s.Bw_obs.Trace.depth)
           :: List.map
                (fun (k, v) -> (k, json_of_value v))
                s.Bw_obs.Trace.attrs) ) ]
 
 let json_of_spans ?(pid = 1) spans =
-  Bench_json.Obj
-    [ ("traceEvents", Bench_json.List (List.map (json_of_span ~pid) spans));
-      ("displayTimeUnit", Bench_json.String "ms") ]
+  Json.Obj
+    [ ("traceEvents", Json.List (List.map (json_of_span ~pid) spans));
+      ("displayTimeUnit", Json.String "ms") ]
 
 let json_of_metrics snaps =
-  Bench_json.List
+  Json.List
     (List.map
        (fun { Bw_obs.Metrics.metric; data } ->
          let fields =
            match data with
            | Bw_obs.Metrics.Counter_v n ->
-             [ ("kind", Bench_json.String "counter");
-               ("value", Bench_json.Int n) ]
+             [ ("kind", Json.String "counter");
+               ("value", Json.Int n) ]
            | Bw_obs.Metrics.Gauge_v v ->
-             [ ("kind", Bench_json.String "gauge");
-               ("value", Bench_json.Float v) ]
+             [ ("kind", Json.String "gauge");
+               ("value", Json.Float v) ]
            | Bw_obs.Metrics.Hist_v h ->
-             [ ("kind", Bench_json.String "histogram");
-               ("count", Bench_json.Int h.Bw_obs.Metrics.count);
-               ("sum", Bench_json.Float h.Bw_obs.Metrics.sum);
+             [ ("kind", Json.String "histogram");
+               ("count", Json.Int h.Bw_obs.Metrics.count);
+               ("sum", Json.Float h.Bw_obs.Metrics.sum);
                ( "buckets",
-                 Bench_json.List
+                 Json.List
                    (List.map
                       (fun (ub, n) ->
-                        Bench_json.Obj
-                          [ ("le", Bench_json.Float ub);
-                            ("n", Bench_json.Int n) ])
+                        Json.Obj
+                          [ ("le", Json.Float ub);
+                            ("n", Json.Int n) ])
                       h.Bw_obs.Metrics.buckets) ) ]
          in
-         Bench_json.Obj (("metric", Bench_json.String metric) :: fields))
+         Json.Obj (("metric", Json.String metric) :: fields))
        snaps)
 
 let pp_span_tree ppf spans =
@@ -94,5 +94,5 @@ let write_file path doc =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (Bench_json.to_string doc);
+      output_string oc (Json.to_string doc);
       output_char oc '\n')

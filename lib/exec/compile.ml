@@ -1,6 +1,6 @@
 open Bw_ir.Ast
 
-exception Runtime_error of string
+exception Runtime_error = Interp.Runtime_error
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Runtime_error m)) fmt
 

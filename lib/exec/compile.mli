@@ -12,6 +12,8 @@
     Figure 1/8 simulations, which is what the benchmark harness cares
     about. *)
 
+(** The same exception as {!Interp.Runtime_error}, so one handler
+    covers both engines. *)
 exception Runtime_error of string
 
 (** [run ?sink ?base_of ?input_offset p] — same contract as

@@ -137,12 +137,14 @@ let rec supervised pool () =
   match worker_loop pool current () with
   | () -> ()
   | exception e ->
+    (* Count before settling the future: a caller that sees
+       [Worker_crashed] must also see the respawn counted. *)
+    Bw_obs.Metrics.incr respawns_c;
     (match !current with
     | Some (Task (_, fut)) ->
       fulfill_if_pending fut
         (Failed (Worker_crashed (Printf.sprintf "worker domain died: %s" (one_line e))))
     | None -> ());
-    Bw_obs.Metrics.incr respawns_c;
     Mutex.lock pool.m;
     let respawn = (not pool.stopping) || not (Queue.is_empty pool.queue) in
     if respawn then pool.domains <- Domain.spawn (supervised pool) :: pool.domains;

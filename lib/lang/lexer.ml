@@ -89,8 +89,15 @@ let tokenize src =
         done
       end;
       let text = String.sub src start (!pos - start) in
-      if !is_float then emit_at start_pos (FLOAT (float_of_string text))
-      else emit_at start_pos (INT (int_of_string text))
+      if !is_float then
+        match float_of_string_opt text with
+        | Some x -> emit_at start_pos (FLOAT x)
+        | None -> raise (Lex_error ("malformed float literal", start_pos))
+      else
+        match int_of_string_opt text with
+        | Some n -> emit_at start_pos (INT n)
+        | None ->
+          raise (Lex_error ("integer literal out of range", start_pos))
     end
     else if is_alpha c then begin
       let start_pos = here () in

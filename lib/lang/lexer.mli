@@ -1,10 +1,8 @@
 (** Position-tracking lexer for the [.bw] surface language.
 
-    Token set and lexical rules are identical to the legacy
-    {!Bw_ir.Lexer} — keywords are case-insensitive, [!] and [//] start
-    line comments — but every token carries its 1-based line {e and}
-    column, so the parser can report errors in the
-    [FILE:LINE:COL: message] style. *)
+    Keywords are case-insensitive; [!] and [//] start line comments.
+    Every token carries its 1-based line {e and} column, so the parser
+    can report errors in the [FILE:LINE:COL: message] style. *)
 
 type token =
   | IDENT of string
@@ -39,7 +37,8 @@ type t = { token : token; pos : pos }
 exception Lex_error of string * pos
 
 (** Tokenize the whole input; the final element is always [EOF].
-    @raise Lex_error on an unexpected character. *)
+    @raise Lex_error on an unexpected character, a malformed float
+    literal, or an integer literal that does not fit in an [int]. *)
 val tokenize : string -> t list
 
 (** Human-readable rendering used in error messages, e.g.

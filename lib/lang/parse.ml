@@ -16,6 +16,9 @@ type state = {
   mutable tokens : Lexer.t list;
   decl_dims : (string, int) Hashtbl.t;  (** declared name -> dimensions *)
   mutable indices : string list;  (** active loop indices, innermost first *)
+  scoped : bool;
+      (** false for a bare expression, which has no declarations to
+          check references against *)
 }
 
 let fail_at (pos : Lexer.pos) fmt =
@@ -79,20 +82,21 @@ let builtin_unops = [ ("abs", Abs); ("sqrt", Sqrt); ("float", Int_to_float) ]
 (* --- scope checks ------------------------------------------------------- *)
 
 let check_scalar_ref st name pos =
-  if not (List.mem name st.indices) then
+  if st.scoped && not (List.mem name st.indices) then
     match Hashtbl.find_opt st.decl_dims name with
     | Some 0 -> ()
     | Some _ -> fail_at pos "array '%s' used without subscripts" name
     | None -> fail_at pos "undeclared variable '%s'" name
 
 let check_element_ref st name pos n_subscripts =
-  match Hashtbl.find_opt st.decl_dims name with
-  | Some 0 -> fail_at pos "scalar '%s' cannot be subscripted" name
-  | Some d when d <> n_subscripts ->
-    fail_at pos "array '%s' has %d dimension(s), found %d subscript(s)" name d
-      n_subscripts
-  | Some _ -> ()
-  | None -> fail_at pos "undeclared array '%s'" name
+  if st.scoped then
+    match Hashtbl.find_opt st.decl_dims name with
+    | Some 0 -> fail_at pos "scalar '%s' cannot be subscripted" name
+    | Some d when d <> n_subscripts ->
+      fail_at pos "array '%s' has %d dimension(s), found %d subscript(s)" name
+        d n_subscripts
+    | Some _ -> ()
+    | None -> fail_at pos "undeclared array '%s'" name
 
 (* --- expressions ------------------------------------------------------- *)
 
@@ -464,19 +468,28 @@ let parse_program_tokens st =
          (List.map (fun e -> Format.asprintf "%a" Bw_ir.Check.pp_error e) es)));
   program
 
-let parse_program src =
+let run ~scoped parse src =
   match
-    let st =
+    parse
       { tokens = Lexer.tokenize src;
         decl_dims = Hashtbl.create 16;
-        indices = [] }
-    in
-    parse_program_tokens st
+        indices = [];
+        scoped }
   with
-  | program -> Ok program
+  | v -> Ok v
   | exception Error e -> Error e
   | exception Lexer.Lex_error (message, pos) ->
     Error { message; line = pos.Lexer.line; col = pos.Lexer.col }
+
+let parse_program src = run ~scoped:true parse_program_tokens src
+
+let parse_expr src =
+  run ~scoped:false
+    (fun st ->
+      let e = parse_expression st in
+      expect st Lexer.EOF;
+      e)
+    src
 
 let parse_program_exn src =
   match parse_program src with

@@ -1,7 +1,24 @@
 (** Recursive-descent parser for the [.bw] surface language.
 
-    Accepts exactly the language of the legacy {!Bw_ir.Parser} (and in
-    particular everything {!Bw_ir.Pretty.pp_program} prints), but every
+    {v
+    program axpy
+      real a[100] = linear(1.0, 0.5)
+      real b[100]
+      real s
+      live_out a, s
+      for i = 1, 100
+        a[i] = a[i] + 2.0 * b[i]
+      end for
+      print s
+    end
+    v}
+
+    Comparison inside conditions uses [==] (or a single [=], tolerated to
+    match the paper's pseudo-code), [<>], [<], [<=], [>], [>=].  [for]
+    loops take [lo, hi] or [lo, hi, step] and are closed by [end for] (or
+    [endfor]); [if (cond) ... else ... end if] likewise.
+
+    Accepts everything {!Bw_ir.Pretty.pp_program} prints.  Every
     diagnostic — lexical, syntactic, {e and} the common semantic
     mistakes — carries a 1-based line and column:
 
@@ -36,3 +53,7 @@ val parse_program_exn : string -> Bw_ir.Ast.program
     are rendered ["path:LINE:COL: message"] (I/O errors carry no
     position). *)
 val parse_file : string -> (Bw_ir.Ast.program, string) result
+
+(** Parse a standalone expression.  There are no declarations in
+    scope, so references are not checked. *)
+val parse_expr : string -> (Bw_ir.Ast.expr, error) result

@@ -1,5 +1,6 @@
 open Bw_ir
 open Bw_analysis
+module Parse = Bw_lang.Parse
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -8,7 +9,7 @@ let int = Alcotest.int
 (* --- Affine -------------------------------------------------------------- *)
 
 let affine_of s =
-  match Parser.parse_expr s with
+  match Parse.parse_expr s with
   | Ok e -> Affine.of_expr e
   | Error _ -> Alcotest.failf "cannot parse %s" s
 
@@ -47,7 +48,7 @@ let test_affine_arith () =
 
 let test_refs_collect () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program refs
         real a[10,10]
@@ -71,7 +72,7 @@ let test_refs_collect () =
 
 let test_refs_subscript_wrt () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program s
         real a[10,10]
@@ -95,7 +96,7 @@ let test_refs_subscript_wrt () =
 (* --- Depend --------------------------------------------------------------- *)
 
 let loop_of src =
-  let p = Parser.parse_program_exn src in
+  let p = Parse.parse_program_exn src in
   match p.Ast.body with
   | [ Ast.For l ] -> l
   | _ -> Alcotest.fail "expected a single loop"
@@ -245,7 +246,7 @@ let test_fusable_read_stream () =
 
 let test_pair_test_multidim () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program md
         real a[10,10]
@@ -266,7 +267,7 @@ let test_pair_test_multidim () =
 let test_gcd_independent () =
   (* a[2i] written, a[2i+1] read: parity separates them *)
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program par
         real a[40]
@@ -285,7 +286,7 @@ let test_gcd_independent () =
   | other -> Alcotest.failf "expected independent, got %a" Depend.pp_answer other);
   (* and with compatible parity the GCD test cannot rule it out *)
   let p2 =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program par2
         real a[40]
@@ -326,7 +327,7 @@ end"
 
 let test_pair_test_independent_rows () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program rows
         real a[10,10]
@@ -385,7 +386,7 @@ let test_live_ranges () =
 
 let test_live_out_flag () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program lo
         real a[10]
@@ -402,7 +403,7 @@ let test_live_out_flag () =
 
 let test_local_to () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program local
         real t[10]

@@ -113,7 +113,7 @@ let test_sp_utilisation_band () =
 (* --- Regroup (extension) ---------------------------------------------------------- *)
 
 let regroupable_program n =
-  Bw_ir.Parser.parse_program_exn
+  Bw_lang.Parse.parse_program_exn
     (Printf.sprintf
        {|
        program complexmul
@@ -151,7 +151,7 @@ let test_regroup_improves_locality () =
   (* 128-byte stride: separately the two arrays touch one L2 line per
      access each; interleaved, the pair shares a line *)
   let p =
-    Bw_ir.Parser.parse_program_exn
+    Bw_lang.Parse.parse_program_exn
       {|
       program strided
         real re[65536] = hash(3)
@@ -181,7 +181,7 @@ let test_regroup_improves_locality () =
 
 let test_regroup_rejects_live_out () =
   let p =
-    Bw_ir.Parser.parse_program_exn
+    Bw_lang.Parse.parse_program_exn
       {|
       program keep
         real a[16] = zero
@@ -198,7 +198,7 @@ let test_regroup_rejects_live_out () =
 
 let test_regroup_rejects_mismatched_init () =
   let p =
-    Bw_ir.Parser.parse_program_exn
+    Bw_lang.Parse.parse_program_exn
       {|
       program mism
         real a[16] = hash(1)
@@ -285,7 +285,7 @@ let test_latency_model () =
    outcomes covering Experiments.all, round-trip it through the JSON
    printer and parser, and check every table id survives. *)
 let test_bench_json_roundtrip () =
-  let module J = Bw_core.Bench_json in
+  let module J = Bw_core.Json in
   let outcomes =
     List.map
       (fun (id, _) ->
@@ -433,7 +433,7 @@ let test_harness_worker_death_retried () =
 (* Error outcomes flow into the JSON document as status/error fields
    and survive a print/parse round-trip next to ok tables. *)
 let test_bench_json_error_outcomes () =
-  let module J = Bw_core.Bench_json in
+  let module J = Bw_core.Json in
   let outcomes =
     [ { Bw_core.Harness.id = "good";
         title = "t";
@@ -464,7 +464,7 @@ let test_bench_json_error_outcomes () =
    quotes, backslashes, newlines, control characters — the bench JSON
    document must round-trip them exactly through print + parse. *)
 let prop_bench_json_string_roundtrip =
-  let module J = Bw_core.Bench_json in
+  let module J = Bw_core.Json in
   let nasty_string =
     QCheck.Gen.(
       string_size ~gen:
@@ -496,7 +496,7 @@ let prop_bench_json_string_roundtrip =
       | _ -> false)
 
 let test_bench_json_parse_errors () =
-  let module J = Bw_core.Bench_json in
+  let module J = Bw_core.Json in
   let fails s =
     match J.parse s with
     | exception J.Parse_error _ -> true

@@ -1,5 +1,5 @@
-open Bw_ir
 open Bw_exec
+module Parse = Bw_lang.Parse
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -13,7 +13,7 @@ let float_value = function
 
 let test_sum_loop () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program sum10
         real a[10] = linear(1.0, 1.0)
@@ -35,7 +35,7 @@ let test_sum_loop () =
 let test_two_dim_column_major () =
   (* a[i,j] with dims [2;3]: flattened offset (i-1) + (j-1)*2. *)
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program colmajor
         real a[2,3] = linear(0.0, 1.0)
@@ -52,7 +52,7 @@ let test_two_dim_column_major () =
 
 let test_if_and_bounds () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program branches
         real x
@@ -74,7 +74,7 @@ let test_if_and_bounds () =
 
 let test_stepped_loop () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program stepped
         integer k
@@ -92,7 +92,7 @@ let test_stepped_loop () =
 
 let test_out_of_bounds () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program oob
         real a[4]
@@ -107,7 +107,7 @@ let test_out_of_bounds () =
 
 let test_zero_subscript_rejected () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program oob0
         real a[4]
@@ -132,8 +132,8 @@ let test_read_input_deterministic () =
     end
     |}
   in
-  let obs1 = Interp.run (Parser.parse_program_exn src) in
-  let obs2 = Interp.run (Parser.parse_program_exn src) in
+  let obs1 = Interp.run (Parse.parse_program_exn src) in
+  let obs2 = Interp.run (Parse.parse_program_exn src) in
   check bool "reproducible inputs" true (Interp.equal_observation obs1 obs2)
 
 (* input_offset shifts the deterministic read() stream: offset 0 is the
@@ -151,7 +151,7 @@ let test_input_offset_shifts_stream () =
     end
     |}
   in
-  let p = Parser.parse_program_exn src in
+  let p = Parse.parse_program_exn src in
   let o_default = Interp.run p in
   check bool "offset 0 is the default stream" true
     (Interp.equal_observation o_default (Interp.run ~input_offset:0 p));
@@ -172,8 +172,8 @@ let test_intrinsic_deterministic () =
     end
     |}
   in
-  let o1 = Interp.run (Parser.parse_program_exn src) in
-  let o2 = Interp.run (Parser.parse_program_exn src) in
+  let o1 = Interp.run (Parse.parse_program_exn src) in
+  let o2 = Interp.run (Parse.parse_program_exn src) in
   check bool "deterministic" true (Interp.equal_observation o1 o2);
   (* f and g differ *)
   match o1.Interp.prints with
@@ -182,7 +182,7 @@ let test_intrinsic_deterministic () =
 
 let test_live_out_snapshot () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program snap
         real a[3] = zero
@@ -203,7 +203,7 @@ let test_live_out_snapshot () =
 (* --- event counting --------------------------------------------------------- *)
 
 let counted_run src =
-  let p = Parser.parse_program_exn src in
+  let p = Parse.parse_program_exn src in
   Run.observe p
 
 let test_counts_simple_update () =
@@ -262,7 +262,7 @@ let test_counts_dot_product () =
 (* --- simulation on machine models --------------------------------------------- *)
 
 let section21_write_loop n =
-  Parser.parse_program_exn
+  Parse.parse_program_exn
     (Printf.sprintf
        {|
        program write_loop
@@ -276,7 +276,7 @@ let section21_write_loop n =
        n n)
 
 let section21_read_loop n =
-  Parser.parse_program_exn
+  Parse.parse_program_exn
     (Printf.sprintf
        {|
        program read_loop
@@ -333,7 +333,7 @@ let test_small_array_stays_in_cache () =
   (* Repeatedly sweeping a 1000-element array: after the first sweep it
      lives in L1+L2, so memory traffic stays near one array's worth. *)
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program resident
         real a[1000]

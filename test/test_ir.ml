@@ -1,5 +1,7 @@
 open Bw_ir
 open Bw_ir.Ast
+module Parse = Bw_lang.Parse
+module Lexer = Bw_lang.Lexer
 
 let check = Alcotest.check
 let str_list = Alcotest.(list string)
@@ -161,8 +163,8 @@ let test_parse_simple_program () =
     end
     |}
   in
-  match Parser.parse_program src with
-  | Error e -> Alcotest.failf "parse failed: %a" Parser.pp_parse_error e
+  match Parse.parse_program src with
+  | Error e -> Alcotest.failf "parse failed: %a" Parse.pp_error e
   | Ok p ->
     check Alcotest.string "name" "two_loops" p.prog_name;
     check Alcotest.int "decls" 2 (List.length p.decls);
@@ -185,8 +187,8 @@ let test_parse_if_and_intrinsics () =
     end
     |}
   in
-  match Parser.parse_program src with
-  | Error e -> Alcotest.failf "parse failed: %a" Parser.pp_parse_error e
+  match Parse.parse_program src with
+  | Error e -> Alcotest.failf "parse failed: %a" Parse.pp_error e
   | Ok p -> check Alcotest.int "stmts" 1 (List.length p.body)
 
 let test_parse_step_and_multidim () =
@@ -204,8 +206,8 @@ let test_parse_step_and_multidim () =
     end
     |}
   in
-  match Parser.parse_program src with
-  | Error e -> Alcotest.failf "parse failed: %a" Parser.pp_parse_error e
+  match Parse.parse_program src with
+  | Error e -> Alcotest.failf "parse failed: %a" Parse.pp_error e
   | Ok p -> (
     match p.body with
     | [ For { step = Int_lit 4; _ } ] -> ()
@@ -213,9 +215,11 @@ let test_parse_step_and_multidim () =
 
 let test_parse_errors_are_located () =
   let src = "program p\n  real a[4]\n  a[1] =\nend" in
-  match Parser.parse_program src with
+  match Parse.parse_program src with
   | Ok _ -> Alcotest.fail "expected a parse error"
-  | Error e -> check Alcotest.bool "line recorded" true (e.line >= 3)
+  | Error e ->
+    check Alcotest.(pair int int) "line:col recorded" (4, 1)
+      (e.Parse.line, e.Parse.col)
 
 let test_parse_rejects_ill_typed () =
   let src =
@@ -229,24 +233,29 @@ let test_parse_rejects_ill_typed () =
     end
     |}
   in
-  match Parser.parse_program src with
+  match Parse.parse_program src with
   | Ok _ -> Alcotest.fail "expected a check error"
   | Error _ -> ()
 
 let test_roundtrip_pretty_parse () =
   (* Pretty-printed programs are re-parseable and structurally equal. *)
   let printed = Pretty.program_to_string sample_program in
-  match Parser.parse_program printed with
-  | Error e -> Alcotest.failf "roundtrip failed: %a@,%s" Parser.pp_parse_error e printed
+  match Parse.parse_program printed with
+  | Error e -> Alcotest.failf "roundtrip failed: %a@,%s" Parse.pp_error e printed
   | Ok p ->
     check Alcotest.bool "same body" true (p.body = sample_program.body)
 
 let test_lexer_comments_and_case () =
   let tokens = Lexer.tokenize "For I=1, N // comment\nEND FOR" in
-  let kinds = List.map (fun t -> t.Lexer.token) tokens in
-  check Alcotest.bool "for keyword" true (List.mem (Lexer.KW "for") kinds);
-  check Alcotest.bool "end keyword" true (List.mem (Lexer.KW "end") kinds);
-  check Alcotest.bool "ident I" true (List.mem (Lexer.IDENT "I") kinds)
+  let located t =
+    Printf.sprintf "%d:%d %s" t.Lexer.pos.line t.Lexer.pos.col
+      (Lexer.token_to_string t.Lexer.token)
+  in
+  check str_list "tokens with line:column"
+    [ "1:1 keyword 'for'"; "1:5 identifier 'I'"; "1:6 '='"; "1:7 integer 1";
+      "1:8 ','"; "1:10 identifier 'N'"; "2:1 keyword 'end'";
+      "2:5 keyword 'for'"; "2:8 end of input" ]
+    (List.map located tokens)
 
 let test_lexer_numbers () =
   let tokens = Lexer.tokenize "1 2.5 3e2 4.5e-1" in
@@ -258,8 +267,8 @@ let test_lexer_numbers () =
 
 let test_lexer_error () =
   match Lexer.tokenize "a @ b" with
-  | exception Lexer.Lex_error (_, 1) -> ()
-  | _ -> Alcotest.fail "expected a lex error on line 1"
+  | exception Lexer.Lex_error (_, { line = 1; col = 3 }) -> ()
+  | _ -> Alcotest.fail "expected a lex error at 1:3"
 
 (* --- QCheck: substitution and renaming --------------------------------------- *)
 
@@ -300,7 +309,7 @@ let qcheck_cases =
         not (List.mem "n" (Ast_util.expr_reads e')));
     Test.make ~name:"pretty/parse expression roundtrip" ~count:200 arb_expr
       (fun e ->
-        match Parser.parse_expr (Pretty.expr_to_string e) with
+        match Parse.parse_expr (Pretty.expr_to_string e) with
         | Ok e' -> e' = e
         | Error _ -> false) ]
 
@@ -311,7 +320,7 @@ let test_digest_roundtrip_stable () =
   List.iter
     (fun p ->
       let src = Pretty.program_to_string p in
-      let q = Parser.parse_program_exn src in
+      let q = Parse.parse_program_exn src in
       check Alcotest.bool "roundtrip equal_program" true (equal_program p q);
       check Alcotest.string "digest stable across roundtrip"
         (Digest.program p) (Digest.program q))
@@ -355,7 +364,7 @@ let qcheck_digest_cases =
   [ Test.make ~name:"equal programs digest equally (generator roundtrip)"
       ~count:100 arb_seed (fun seed ->
         let p = Bw_qa.Gen.generate ~seed ~size:4 in
-        let q = Parser.parse_program_exn (Pretty.program_to_string p) in
+        let q = Parse.parse_program_exn (Pretty.program_to_string p) in
         equal_program p q && Digest.program p = Digest.program q);
     Test.make ~name:"distinct seeds rarely collide" ~count:50 arb_seed
       (fun seed ->

@@ -1,9 +1,9 @@
 (* The .bw surface-language front end and the data-layout pass.
 
-   - positioned parser: accepts the legacy grammar, reports every
+   - positioned parser: accepts the whole grammar, reports every
      diagnostic with an exact line and column (pinned strings below);
    - round trip: generated programs print and re-parse to an equal AST
-     through BOTH parser paths (QCheck over 100 seeds);
+     (QCheck over 100 seeds);
    - golden renderer: deterministic, byte-identical re-rendering;
    - layout pass: padding/splitting/transposition preserve observable
      behaviour (differential validation + Preserve lint) and cut
@@ -67,7 +67,15 @@ let test_error_positions () =
     "5:3: loop index 'i' cannot be assigned";
   expect_error
     "program p\n  real i\n  live_out i\nfor i = 1, 4\nend for\nend"
-    "4:5: loop index 'i' shadows a declaration"
+    "4:5: loop index 'i' shadows a declaration";
+  expect_error "program p\n  real a[4]\n  a[1] =\nend"
+    "4:1: expected an expression, found keyword 'end'";
+  expect_error "program p\n real a[4]\n for i = 1, 4\n a[i] = \n end for\nend"
+    "5:2: expected an expression, found keyword 'end'";
+  expect_error "program p\n  real a[99999999999999999999]\nend"
+    "2:10: integer literal out of range";
+  expect_error "program p\n  real s\n  live_out s\ns = 1e\nend"
+    "4:5: malformed float literal"
 
 let test_lex_error_position () =
   expect_error "program p\n  real a[4]\n  live_out a\na[1] = @\nend"
@@ -83,7 +91,7 @@ let test_file_errors_are_total () =
   | Error msg -> check Alcotest.bool "one line" false (String.contains msg '\n')
 
 let test_parenthesized_conditions () =
-  (* what pp_cond prints for nested and/or — both parsers accept it *)
+  (* what pp_cond prints for nested and/or *)
   let src =
     "program p\n\
     \  real s\n\
@@ -93,37 +101,32 @@ let test_parenthesized_conditions () =
      end if\n\
      end"
   in
-  let p = parse_ok src in
-  let q =
-    match Parser.parse_program src with
-    | Ok q -> q
-    | Error e -> Alcotest.failf "legacy parse failed: %a" Parser.pp_parse_error e
+  let s = Ast.Scalar "s" in
+  let expected =
+    Ast.Or
+      ( Ast.And
+          ( Ast.Cmp (Ast.Gt, s, Ast.Float_lit 1.0),
+            Ast.Cmp (Ast.Lt, s, Ast.Float_lit 2.0) ),
+        Ast.Not (Ast.Cmp (Ast.Eq, s, Ast.Float_lit 0.0)) )
   in
-  check Alcotest.bool "same AST" true (Ast.equal_program p q)
+  match (parse_ok src).Ast.body with
+  | [ Ast.If (c, _, []) ] ->
+    check Alcotest.bool "nested condition" true (Ast.equal_cond c expected)
+  | _ -> Alcotest.fail "expected one if statement"
 
-(* --- round trip through both parsers -------------------------------------- *)
+(* --- print/parse round trip ----------------------------------------------- *)
 
 let roundtrip_seed seed =
   let p = Bw_qa.Gen.generate ~seed ~size:6 in
   let printed = Pretty.program_to_string p in
-  let via_new =
-    match Parse.parse_program printed with
-    | Ok q -> q
-    | Error e ->
-      Alcotest.failf "seed %d: new parser rejected printed form: %s@.%s" seed
-        (Parse.error_to_string e) printed
-  in
-  let via_legacy =
-    match Parser.parse_program printed with
-    | Ok q -> q
-    | Error e ->
-      Alcotest.failf "seed %d: legacy parser rejected printed form: %a@.%s"
-        seed Parser.pp_parse_error e printed
-  in
-  Ast.equal_program p via_new && Ast.equal_program p via_legacy
+  match Parse.parse_program printed with
+  | Ok q -> Ast.equal_program p q
+  | Error e ->
+    Alcotest.failf "seed %d: parser rejected printed form: %s@.%s" seed
+      (Parse.error_to_string e) printed
 
 let roundtrip_prop =
-  QCheck.Test.make ~count:100 ~name:"print/parse round trip (both parsers)"
+  QCheck.Test.make ~count:100 ~name:"print/parse round trip"
     (QCheck.make QCheck.Gen.(map (fun n -> n + 1) (int_bound 9999)))
     roundtrip_seed
 

@@ -3,6 +3,7 @@
    second machine, distribution interplay, hyper-fusion validation. *)
 
 open Bw_ir
+module Parse = Bw_lang.Parse
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -37,7 +38,7 @@ let test_simplify_identities () =
 
 let test_simplify_empty_loop_dropped () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program empty
         real s
@@ -84,7 +85,7 @@ let test_init_lanes_semantics () =
 
 let test_interp_division_by_zero () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program div0
         integer k
@@ -98,7 +99,7 @@ let test_interp_division_by_zero () =
 
 let test_interp_min_max_semantics () =
   let p =
-    Parser.parse_program_exn
+    Parse.parse_program_exn
       {|
       program mm
         real x
@@ -162,15 +163,14 @@ let test_scattered_program_recovers_via_strategy () =
   check int "same optimised traffic from both forms" (traffic p)
     (traffic scattered)
 
-(* --- Advisor on a file-loaded program --------------------------------------------- *)
-
 let test_parse_error_positions_stable () =
-  (* regression guard: messages carry the line of the offending token *)
+  (* regression guard: messages carry the position of the offending token *)
   let src = "program p\n real a[4]\n for i = 1, 4\n a[i] = \n end for\nend" in
-  match Parser.parse_program src with
+  match Parse.parse_program src with
   | Ok _ -> Alcotest.fail "expected failure"
   | Error e ->
-    check bool "line 4 or 5" true (e.Parser.line = 4 || e.Parser.line = 5)
+    check Alcotest.(pair int int) "line:col of 'end'" (5, 2)
+      (e.Parse.line, e.Parse.col)
 
 let suites =
   [ ( "misc.simplify",

@@ -15,7 +15,7 @@ let same_semantics ?(tol = 0.0) name p1 p2 =
     Alcotest.failf "%s: observations differ@.%a@.vs@.%a" name
       Bw_exec.Interp.pp_observation o1 Bw_exec.Interp.pp_observation o2
 
-let parse = Parser.parse_program_exn
+let parse = Bw_lang.Parse.parse_program_exn
 
 (* --- Toplevel dependences ---------------------------------------------- *)
 

@@ -169,10 +169,10 @@ let qcheck_cases =
     | Ok () -> ()
     | Error _ -> Test.fail_reportf "%s: Check.check failed" what);
     let printed = Format.asprintf "%a" Bw_ir.Pretty.pp_program p in
-    match Bw_ir.Parser.parse_program printed with
+    match Bw_lang.Parse.parse_program printed with
     | Error e ->
-      Test.fail_reportf "%s: re-parse failed: %a" what
-        Bw_ir.Parser.pp_parse_error e
+      Test.fail_reportf "%s: re-parse failed: %a" what Bw_lang.Parse.pp_error
+        e
     | Ok p' -> Bw_ir.Ast.equal_program p p'
   in
   [ Test.make ~name:"random_programs check + roundtrip" ~count:100
