@@ -166,17 +166,24 @@ let block_cost ctx members =
     Hashtbl.add ctx.block_memo key c;
     c
 
-(* Additive objective of a candidate plan; [None] if any block is
-   infeasible.  Block order does not matter, so move evaluation only
-   re-prices the touched blocks (via the memo). *)
-let objective ctx partitions =
-  ctx.candidates <- ctx.candidates + 1;
+(* Summed block price; [None] if any block is infeasible.  Block order
+   does not matter, so move evaluation only re-prices the touched
+   blocks (via the memo). *)
+let price ctx blocks =
   List.fold_left
     (fun acc members ->
-      match (acc, block_cost ctx members) with
-      | Some total, Some c -> Some (total +. c)
-      | _ -> None)
-    (Some 0.0) partitions
+      match acc with
+      | None -> None
+      | Some total -> (
+        match block_cost ctx members with
+        | None -> None
+        | Some c -> Some (total +. c)))
+    (Some 0.0) blocks
+
+(* Additive objective of a candidate plan. *)
+let objective ctx partitions =
+  ctx.candidates <- ctx.candidates + 1;
+  price ctx partitions
 
 let has_preventing ctx members =
   let rec pairs = function
@@ -418,8 +425,9 @@ let assignment_of_plan plan n =
   List.iteri (fun bi members -> List.iter (fun v -> asg.(v) <- bi) members) plan;
   asg
 
-(* objective of the blocks containing exactly the given block ids *)
-let cost_of_ids ctx asg ids =
+(* Member lists of the given block ids under [asg], ascending node
+   order; ids whose block is empty are dropped. *)
+let blocks_of_ids ctx asg ids =
   let members_of b =
     let rec collect v acc =
       if v < 0 then acc
@@ -427,43 +435,97 @@ let cost_of_ids ctx asg ids =
     in
     collect (ctx.n - 1) []
   in
-  List.fold_left
-    (fun acc b ->
-      match acc with
-      | None -> None
-      | Some total -> (
-        match members_of b with
-        | [] -> acc
-        | members ->
-          if has_preventing ctx members then None
-          else
-            (match block_cost ctx members with
-            | None -> None
-            | Some c -> Some (total +. c))))
-    (Some 0.0) (List.sort_uniq compare ids)
+  List.filter_map
+    (fun b -> match members_of b with [] -> None | members -> Some members)
+    (List.sort_uniq compare ids)
 
-let acyclic ctx asg =
-  (* block ids are arbitrary ints (fresh blocks keep incrementing), so
-     densify them before building the contracted graph *)
-  let dense = Hashtbl.create 32 in
-  let id b =
-    match Hashtbl.find_opt dense b with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length dense in
-      Hashtbl.add dense b i;
-      i
-  in
-  let bg = Bw_graph.Digraph.create ~size_hint:ctx.n () in
-  Bw_graph.Digraph.ensure_nodes bg ctx.n;
-  for u = 0 to ctx.n - 1 do
+(* Scratch space for {!acyclic}, reused across proposals so a check
+   builds no graph or table.  [slot] maps a raw block id to its dense id (-1
+   when unseen) and grows with the fresh ids the annealer hands out;
+   everything else is indexed by node or by dense block id (< n). *)
+type scratch = {
+  mutable slot : int array;
+  dense : int array;  (** node -> dense block id *)
+  head : int array;  (** dense block -> first member, -1 terminated *)
+  next : int array;  (** node -> next member of its block *)
+  indeg : int array;  (** dense block -> unprocessed in-edges *)
+  queue : int array;  (** Kahn work list of dense blocks *)
+}
+
+let scratch n =
+  { slot = Array.make (2 * n) (-1);
+    dense = Array.make n 0;
+    head = Array.make n (-1);
+    next = Array.make n (-1);
+    indeg = Array.make n 0;
+    queue = Array.make n 0 }
+
+(* Is the dependence graph contracted onto the blocks of [asg] acyclic?
+   Kahn's algorithm over dense block ids: an edge u -> w between
+   different blocks is one in-edge of w's block (parallel edges are
+   counted and released alike), and the contraction is acyclic iff
+   every block is released. *)
+let acyclic sc ctx asg =
+  let n = ctx.n in
+  let k = ref 0 in
+  for v = 0 to n - 1 do
+    let b = asg.(v) in
+    if b >= Array.length sc.slot then begin
+      let grown = Array.make (2 * (b + 1)) (-1) in
+      Array.blit sc.slot 0 grown 0 (Array.length sc.slot);
+      sc.slot <- grown
+    end;
+    if sc.slot.(b) < 0 then begin
+      sc.slot.(b) <- !k;
+      sc.head.(!k) <- -1;
+      sc.indeg.(!k) <- 0;
+      incr k
+    end;
+    sc.dense.(v) <- sc.slot.(b)
+  done;
+  for v = n - 1 downto 0 do
+    let d = sc.dense.(v) in
+    sc.slot.(asg.(v)) <- -1;
+    sc.next.(v) <- sc.head.(d);
+    sc.head.(d) <- v
+  done;
+  for u = 0 to n - 1 do
+    let du = sc.dense.(u) in
     List.iter
       (fun w ->
-        if asg.(u) <> asg.(w) then
-          Bw_graph.Digraph.add_edge bg (id asg.(u)) (id asg.(w)))
+        let dw = sc.dense.(w) in
+        if dw <> du then sc.indeg.(dw) <- sc.indeg.(dw) + 1)
       ctx.succ_of.(u)
   done;
-  Bw_graph.Topo.is_acyclic bg
+  let k = !k in
+  let tail = ref 0 in
+  for d = 0 to k - 1 do
+    if sc.indeg.(d) = 0 then begin
+      sc.queue.(!tail) <- d;
+      incr tail
+    end
+  done;
+  let released = ref 0 in
+  while !released < !tail do
+    let d = sc.queue.(!released) in
+    incr released;
+    let release w =
+      let dw = sc.dense.(w) in
+      if dw <> d then begin
+        sc.indeg.(dw) <- sc.indeg.(dw) - 1;
+        if sc.indeg.(dw) = 0 then begin
+          sc.queue.(!tail) <- dw;
+          incr tail
+        end
+      end
+    in
+    let u = ref sc.head.(d) in
+    while !u >= 0 do
+      List.iter release ctx.succ_of.(!u);
+      u := sc.next.(!u)
+    done
+  done;
+  !released = k
 
 let anneal ctx cfg start =
   let best = ref start in
@@ -474,6 +536,7 @@ let anneal ctx cfg start =
      state, so "one small array's worth" of regression is acceptable
      early and nothing is acceptable late *)
   let t0 = 1.0 and t_end = 0.01 in
+  let sc = scratch ctx.n and saved = Array.make ctx.n 0 in
   let run_restart r init_plan =
     let rng = Random.State.make [| cfg.seed; r; 0x5ea7c4 |] in
     let asg = assignment_of_plan init_plan ctx.n in
@@ -544,35 +607,44 @@ let anneal ctx cfg start =
       in
       match touched with
       | [] -> ()
-      | ids -> (
-        match cost_of_ids ctx asg ids with
-        | None -> () (* current state must be legal; just skip *)
-        | Some before_cost ->
-          let saved = Array.copy asg in
-          apply ();
-          (match cost_of_ids ctx asg ids with
-          | None -> Array.blit saved 0 asg 0 ctx.n
-          | Some after_cost ->
-            if not (acyclic ctx asg) then Array.blit saved 0 asg 0 ctx.n
-            else begin
-              ctx.candidates <- ctx.candidates + 1;
-              let delta = (after_cost -. before_cost) /. scale in
-              let accept =
-                delta <= 0.0
-                || Random.State.float rng 1.0 < exp (-.delta /. temp)
-              in
-              if not accept then Array.blit saved 0 asg 0 ctx.n
-              else begin
-                cur := !cur -. before_cost +. after_cost;
-                if !cur < !best_cost -. 1e-9 then begin
-                  match topo_order ctx (blocks_of_assignment asg ctx.n) with
-                  | Some plan ->
-                    best := plan;
-                    best_cost := !cur
-                  | None -> ()
-                end
-              end
-            end))
+      | ids ->
+        (* legality before price: a proposal that fuses a preventing
+           pair or closes a dependence cycle is dropped without pricing
+           any block, since only legal proposals reach the accept draw
+           this leaves the RNG stream, and so the plan, unchanged *)
+        Array.blit asg 0 saved 0 ctx.n;
+        apply ();
+        let after = blocks_of_ids ctx asg ids in
+        let legal =
+          (not (List.exists (has_preventing ctx) after)) && acyclic sc ctx asg
+        in
+        let priced =
+          if not legal then None
+          else
+            match price ctx (blocks_of_ids ctx saved ids) with
+            | None -> None
+            | Some before_cost ->
+              Option.map (fun c -> (before_cost, c)) (price ctx after)
+        in
+        (match priced with
+        | None -> Array.blit saved 0 asg 0 ctx.n
+        | Some (before_cost, after_cost) ->
+          ctx.candidates <- ctx.candidates + 1;
+          let delta = (after_cost -. before_cost) /. scale in
+          let accept =
+            delta <= 0.0 || Random.State.float rng 1.0 < exp (-.delta /. temp)
+          in
+          if not accept then Array.blit saved 0 asg 0 ctx.n
+          else begin
+            cur := !cur -. before_cost +. after_cost;
+            if !cur < !best_cost -. 1e-9 then begin
+              match topo_order ctx (blocks_of_assignment asg ctx.n) with
+              | Some plan ->
+                best := plan;
+                best_cost := !cur
+              | None -> ()
+            end
+          end)
     done
   in
   let unfused = List.init ctx.n (fun v -> [ v ]) in

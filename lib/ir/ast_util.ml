@@ -67,18 +67,21 @@ let dedup_keep_order names =
       end)
     names
 
+(* The collectors below accumulate in reverse and flip once, so they
+   stay linear in the body size; the result is in first-occurrence
+   order. *)
 let vars_read stmts =
-  fold_stmts_exprs (fun acc e -> acc @ expr_reads e) [] stmts
-  |> dedup_keep_order
+  fold_stmts_exprs (fun acc e -> List.rev_append (expr_reads e) acc) [] stmts
+  |> List.rev |> dedup_keep_order
 
 let vars_written stmts =
   fold_stmts
     (fun acc s ->
       match s with
-      | Assign (lv, _) | Read_input lv -> acc @ [ lvalue_name lv ]
+      | Assign (lv, _) | Read_input lv -> lvalue_name lv :: acc
       | If _ | For _ | Print _ -> acc)
     [] stmts
-  |> dedup_keep_order
+  |> List.rev |> dedup_keep_order
 
 let arrays_accessed program stmts =
   let is_array name =
@@ -89,9 +92,9 @@ let arrays_accessed program stmts =
 
 let loop_indices stmts =
   fold_stmts
-    (fun acc s -> match s with For { index; _ } -> acc @ [ index ] | _ -> acc)
+    (fun acc s -> match s with For { index; _ } -> index :: acc | _ -> acc)
     [] stmts
-  |> dedup_keep_order
+  |> List.rev |> dedup_keep_order
 
 let rec subst_scalar ~name ~value e =
   let recur = subst_scalar ~name ~value in

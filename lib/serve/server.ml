@@ -134,9 +134,14 @@ let replay_fn t req ~deadline program machines =
              Bw_exec.Run.capture ~engine:req.Protocol.engine program)))
     machines
 
-(* One-line error message from an arbitrary handler exception. *)
+(* One-line error message from an arbitrary handler exception; a
+   runtime fault reads as bwc prints it. *)
 let one_line e =
-  let s = Printexc.to_string e in
+  let s =
+    match e with
+    | Bw_exec.Interp.Runtime_error msg -> "runtime error: " ^ msg
+    | e -> Printexc.to_string e
+  in
   match String.index_opt s '\n' with
   | Some i -> String.sub s 0 i
   | None -> s

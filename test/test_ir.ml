@@ -98,6 +98,27 @@ let test_arrays_accessed () =
 let test_loop_indices () =
   check str_list "indices" [ "i" ] (Ast_util.loop_indices sample_program.body)
 
+(* First-occurrence order over a nested body with repeats: expressions
+   are visited lvalue subscripts first, then the right-hand side;
+   conditions before both branches; loop bounds before the body. *)
+let test_collectors_first_occurrence () =
+  let open Builder in
+  let body =
+    [ for_ "i" (int 1) (v "n")
+        [ sc "x" <-- (("c" $ [ v "i" ]) +: v "y");
+          if_ (v "x" >: v "z")
+            [ for_ "j" (v "i") (v "m")
+                [ ("d" $. [ v "j" ]) <-- (("c" $ [ v "j" ]) +: v "x") ] ]
+            [ read (sc "w"); sc "y" <-- v "z" ];
+          for_ "j" (int 1) (int 4) [ ("d" $. [ v "i" ]) <-- ("e" $ [ v "k" ]) ] ];
+      for_ "k" (int 1) (int 2) [ sc "x" <-- ("d" $ [ v "k" ]) ] ]
+  in
+  check str_list "reads"
+    [ "n"; "c"; "i"; "y"; "x"; "z"; "m"; "j"; "e"; "k"; "d" ]
+    (Ast_util.vars_read body);
+  check str_list "written" [ "x"; "d"; "w"; "y" ] (Ast_util.vars_written body);
+  check str_list "indices" [ "i"; "j"; "k" ] (Ast_util.loop_indices body)
+
 let test_rename_scalar () =
   let open Builder in
   let stmts = [ for_ "i" (int 1) (v "n") [ sc "x" <-- to_float (v "i") ] ] in
@@ -388,6 +409,8 @@ let suites =
       [ Alcotest.test_case "vars read/written" `Quick test_vars_read_written;
         Alcotest.test_case "arrays accessed" `Quick test_arrays_accessed;
         Alcotest.test_case "loop indices" `Quick test_loop_indices;
+        Alcotest.test_case "collectors keep first-occurrence order" `Quick
+          test_collectors_first_occurrence;
         Alcotest.test_case "rename scalar" `Quick test_rename_scalar;
         Alcotest.test_case "rename leaves others" `Quick test_rename_leaves_others;
         Alcotest.test_case "subst scalar" `Quick test_subst_scalar;

@@ -87,6 +87,49 @@ let test_deterministic () =
   check Alcotest.int "same candidate count" a.Search.candidates
     b.Search.candidates
 
+(* The annealer's path on the benchmark instances, pinned: a change
+   that only makes the search faster must reproduce the same plan, the
+   same number of priced candidates and the same whole-plan traffic. *)
+let pinned_anneal =
+  [ ( 1,
+      "3|2.5.8|11|1.4.6.7.9.10.14.15.16.21.25.28.38|0.12.13.17.18.19.20.22.23.24.26|34|40|27.29.30.31.32.33.35.36.37.39|41|42",
+      520,
+      9273344. );
+    ( 2,
+      "2.9|0.3.11.20|1.4.5.6.7.8.10.13.14.15.16.17.18.19.22.23.24.25.26.29.30.31.32.35.38|12.21.27.28.34.36.37.39|33|40|41|42",
+      480,
+      6455296. );
+    ( 3,
+      "0.1.2.3.4.5.6.7.8.9.10.11.12.13.14.15.16.17.18.19.20.21.22.24.25.26.29.30.31.32.35.37|27|23.28.36|33.34.39|38|40|41|42",
+      422,
+      6389760. );
+    ( 4,
+      "0|1|4.7.23|8|2.3.5.6.9.10.11.12.13.14.15.16.17.18.19.20.21.22.24.25.26.27.28.30.31.32.33.36.37.38|29.35.39|34|40|41|42",
+      438,
+      6848512. );
+    ( 5,
+      "0|2|6.10.12.13|15|7.16|1.8|3.4.5.9.11.14.17.18.19.20.21.22.23.24.25.26.27.28.30.31.32.33.35.36.39|29.34.37.38|40|41|42",
+      440,
+      7110656. ) ]
+
+let test_pinned_anneal () =
+  let machine = Bw_core.Experiments.origin_scaled in
+  List.iter
+    (fun (seed, signature, candidates, traffic) ->
+      let name = Printf.sprintf "dag%dx40" seed in
+      let p =
+        Bw_workloads.Dag_family.generate ~seed ~loops:40
+          ~n:(Bw_workloads.Dag_family.extent ~scale:1)
+      in
+      let _, st = plan_exn (Search.default_config ~machine ()) p in
+      check Alcotest.string (name ^ ": plan") signature
+        (Cost.signature st.Search.plan);
+      check Alcotest.int (name ^ ": candidates") candidates
+        st.Search.candidates;
+      check (Alcotest.float 0.0) (name ^ ": traffic") traffic
+        st.Search.traffic)
+    pinned_anneal
+
 let test_dag_family_deterministic () =
   let a = small_dag ~seed:9 ~loops:20 in
   let b = small_dag ~seed:9 ~loops:20 in
@@ -172,7 +215,9 @@ let suites =
         Alcotest.test_case "exact refuses large instances" `Quick
           test_exact_refuses_large;
         Alcotest.test_case "anneal beats greedy" `Slow test_anneal_beats_greedy;
-        Alcotest.test_case "determinism" `Quick test_deterministic ] );
+        Alcotest.test_case "determinism" `Quick test_deterministic;
+        Alcotest.test_case "pinned anneal on dag1x40..dag5x40" `Quick
+          test_pinned_anneal ] );
     ( "fusion.search.cost",
       [ Alcotest.test_case "signature and memo" `Quick test_signature_and_memo ] );
     ( "workloads.dag_family",

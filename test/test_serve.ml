@@ -351,6 +351,26 @@ let test_server_survives_malformed_requests () =
           check bool "connection still alive" true
             (Result.is_ok (Protocol.response_result r))))
 
+(* A runtime fault in the submitted program answers with the same
+   one-line message bwc prints, not the exception's constructor path. *)
+let test_server_runtime_error_is_one_line () =
+  with_server (fun addr ->
+      let source =
+        "program step0\n  real a[4]\n  live_out a\nfor i = 1, 4, 0\n\
+        \  a[i] = 1.0\nend for\nend\n"
+      in
+      let req =
+        { (Protocol.default_request Protocol.Simulate) with
+          Protocol.source = Some source;
+          machines = [ "origin2000" ] }
+      in
+      let r = Result.get_ok (Client.one_shot addr req) in
+      match Protocol.response_result r with
+      | Ok _ -> Alcotest.fail "a step-0 loop must not simulate"
+      | Error msg ->
+        check string "runtime error line"
+          "runtime error: loop 'i': non-positive step 0" msg)
+
 let test_server_metrics_endpoint () =
   with_server (fun addr ->
       ignore
@@ -862,6 +882,8 @@ let suites =
           test_server_repeat_does_zero_engine_work;
         Alcotest.test_case "malformed requests never kill it" `Quick
           test_server_survives_malformed_requests;
+        Alcotest.test_case "runtime errors are one line" `Quick
+          test_server_runtime_error_is_one_line;
         Alcotest.test_case "metrics endpoint" `Quick
           test_server_metrics_endpoint;
         Alcotest.test_case "drains on shutdown" `Quick
